@@ -49,8 +49,11 @@ need_bin() {
     fi
 }
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+# --workspace: the smokes below run the member crates' binaries, which a
+# plain `cargo build` at the root (the `mp5` facade package) never
+# rebuilds.
+cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test -q
@@ -144,6 +147,25 @@ cmp "$SERVE_TMP/full.jsonl" "$SERVE_TMP/stitched.jsonl" || {
     exit 1
 }
 ./target/release/mp5audit --quiet "$SERVE_TMP/stitched.jsonl"
+
+echo "==> serve smoke at a realistic state size: 2.5 MB snapshot, restore, identical stream"
+# 13 032 packets are in flight at cycle 20000. The restore takes well
+# under a second with a linear snapshot parser; the quadratic one took
+# 37 s, so a regression stands out in this step's time.
+./target/release/mp5serve --app flowlet --packets 20000 \
+    --trace "$SERVE_TMP/full20k.jsonl"
+./target/release/mp5serve --app flowlet --packets 20000 \
+    --snapshot "$SERVE_TMP/ckpt20k.snap" --halt-at 20000 \
+    --trace "$SERVE_TMP/pre20k.jsonl"
+./target/release/mp5serve --restore "$SERVE_TMP/ckpt20k.snap" \
+    --trace "$SERVE_TMP/post20k.jsonl"
+grep -hv '"k":"snapshot"\|"k":"restored"\|"k":"swap"' \
+    "$SERVE_TMP/pre20k.jsonl" "$SERVE_TMP/post20k.jsonl" > "$SERVE_TMP/stitched20k.jsonl"
+cmp "$SERVE_TMP/full20k.jsonl" "$SERVE_TMP/stitched20k.jsonl" || {
+    echo "ci.sh: restored 20k-packet event stream diverged from the uninterrupted run" >&2
+    exit 1
+}
+./target/release/mp5audit --quiet "$SERVE_TMP/stitched20k.jsonl"
 
 echo "==> serve smoke: zero-downtime hot-swap, ledger closed"
 ./target/release/mp5serve --app flowlet --packets 800 \

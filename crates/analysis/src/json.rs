@@ -206,8 +206,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next quote or backslash as one
+        // run, validated once. Both stop bytes are ASCII, so a run of
+        // valid UTF-8 never ends inside a character.
+        let start = *pos;
+        while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
         match b.get(*pos) {
-            None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -235,13 +242,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            _ => return Err("unterminated string".into()),
         }
     }
 }
@@ -363,6 +364,16 @@ mod tests {
         assert_eq!(back, v);
         // Emission is deterministic, so a second trip is byte-identical.
         assert_eq!(back.emit(), text);
+    }
+
+    #[test]
+    fn strings_round_trip_non_ascii_and_escapes() {
+        let s = "é → 世界 😀 \"q\" \\ \n\t\u{1}";
+        let v = Json::Arr(vec![Json::str(s), Json::str("")]);
+        assert_eq!(Json::parse(&v.emit()).unwrap(), v);
+        assert_eq!(Json::parse(r#""\u00e9""#).unwrap(), Json::str("é"));
+        assert!(Json::parse("\"open").is_err());
+        assert!(Json::parse("\"trailing backslash\\").is_err());
     }
 
     #[test]

@@ -287,11 +287,12 @@ pub struct Snapshot {
     pub injector: Option<InjectorSnap>,
 }
 
-/// Serializes one section body. Snapshot sections are plain data
-/// (no maps with non-string keys, no NaNs), so serialization itself
-/// cannot fail; only IO can.
-fn json<T: Serialize + ?Sized>(v: &T) -> String {
-    serde_json::to_string(v).expect("snapshot sections are plain serializable data")
+/// Appends one `@tag <json>` section line.
+fn section<T: Serialize + ?Sized>(out: &mut String, tag: &str, body: &T) {
+    out.push_str(tag);
+    out.push(' ');
+    body.write_json(out);
+    out.push('\n');
 }
 
 /// FNV-1a 64-bit over the snapshot body — stable across builds and
@@ -328,19 +329,21 @@ impl Snapshot {
     /// discipline as the trace JSONL codec), closed by an FNV-1a64
     /// checksum over every preceding byte.
     pub fn encode(&self) -> String {
+        // Every section streams into the one buffer; nothing is
+        // serialized to a temporary and copied.
         let mut out = format!(
             "{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION} seq={} cycle={}\n",
             self.seq,
             self.cycle()
         );
-        out.push_str(&format!("@source {}\n", json(&self.source)));
-        out.push_str(&format!("@config {}\n", json(&self.config)));
-        out.push_str(&format!("@state {}\n", json(&self.state)));
+        section(&mut out, "@source", &self.source);
+        section(&mut out, "@config", &self.config);
+        section(&mut out, "@state", &self.state);
         if let Some(plan) = &self.fault_plan {
-            out.push_str(&format!("@faults {}\n", json(plan)));
+            section(&mut out, "@faults", plan);
         }
         if let Some(inj) = &self.injector {
-            out.push_str(&format!("@injector {}\n", json(inj)));
+            section(&mut out, "@injector", inj);
         }
         out.push_str(&format!("@checksum {:016x}\n", fnv1a64(out.as_bytes())));
         out
